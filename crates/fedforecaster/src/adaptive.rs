@@ -11,9 +11,10 @@
 //! previously best algorithm.
 
 use crate::budget::Budget;
-use crate::config::EngineConfig;
+use crate::config::{EngineConfig, TreeAggregation};
 use crate::engine::FedForecaster;
 use crate::{EngineError, Result};
+use ff_fl::runtime::RoundPolicy;
 use ff_metalearn::metamodel::MetaModel;
 use ff_models::zoo::AlgorithmKind;
 use ff_timeseries::TimeSeries;
@@ -165,29 +166,25 @@ fn evaluate_fixed_config(
 ) -> Result<f64> {
     use crate::engine as eng;
     let rt = eng::build_runtime(window, cfg)?;
-    let (global, max_len) = eng::collect_global_meta(&rt)?;
-    let spec = if cfg.disable_feature_engineering {
-        crate::feature_engineering::GlobalFeatureSpec::lags_only(eng::derive_lag_count(
-            &global,
-            cfg.max_lags,
-        ))
-    } else {
-        crate::feature_engineering::GlobalFeatureSpec {
-            lags: (1..=eng::derive_lag_count(&global, cfg.max_lags)).collect(),
-            seasonal_periods: eng::federated_seasonal_periods(
-                &rt,
-                max_len,
-                cfg.max_seasonal_components,
-            )?,
-            use_trend: true,
-            use_time: true,
-        }
-    };
-    eng::run_feature_engineering(&rt, &spec, cfg.importance_threshold)?;
+    let policy = RoundPolicy::strict(rt.n_clients());
+    let mut rounds = Vec::new();
+    let (global, max_len) = eng::collect_global_meta(&rt, cfg.par, &policy, &mut rounds)?;
+    let spec = eng::federated_feature_spec(&rt, cfg, &global, max_len, &policy, &mut rounds)?;
+    let threshold = cfg.importance_threshold;
+    eng::run_feature_engineering(&rt, cfg.par, &spec, threshold, &policy, &mut rounds)?;
     // Final-fit the deployed configuration directly and read the aggregated
     // test loss.
-    let (_, test_mse) = eng::finalize(&rt, &current.best_config)?;
-    Ok(test_mse)
+    let outcome = eng::finalize(
+        &rt,
+        cfg.par,
+        &current.best_config,
+        TreeAggregation::EnsembleUnion,
+        &policy,
+        &mut rounds,
+        &mut eng::RobustCtx::permissive(),
+        None,
+    )?;
+    Ok(outcome.test_mse)
 }
 
 #[cfg(test)]

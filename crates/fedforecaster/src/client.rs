@@ -40,6 +40,10 @@ pub struct FedForecasterClient {
     raw_train: TimeSeries,
     exogenous: Option<ExogenousData>,
     engineered: Option<EngineeredData>,
+    /// The selection mask applied to `engineered`, as the server sent it.
+    /// A round retried after a lost reply re-sends the same mask; it must
+    /// not select twice.
+    applied_keep: Option<Vec<usize>>,
     final_model: Option<(AlgorithmKind, Box<dyn Regressor + Send + Sync>)>,
     /// Local feature/target scalers fitted at final_fit time. Linear model
     /// parameters are exchanged in this *standardized* space: each client
@@ -71,6 +75,7 @@ impl FedForecasterClient {
             raw_train,
             exogenous: None,
             engineered: None,
+            applied_keep: None,
             final_model: None,
             final_scalers: None,
             final_pipeline: None,
@@ -147,6 +152,7 @@ impl FedForecasterClient {
         };
         let n_rows = data.y_train.len() as u64;
         self.engineered = Some(data);
+        self.applied_keep = None;
         FitOutput {
             params: vec![],
             num_examples: n_rows,
@@ -161,19 +167,29 @@ impl FedForecasterClient {
         let Some(data) = &self.engineered else {
             return Self::err_fit("feature engineering not run");
         };
-        let keep: Vec<usize> = keep
-            .iter()
-            .map(|&v| v as usize)
-            .filter(|&j| j < data.x_train.cols())
-            .collect();
-        if keep.is_empty() {
-            return Self::err_fit("empty selection");
-        }
-        self.engineered = Some(data.select_columns(&keep));
+        let requested: Vec<usize> = keep.iter().map(|&v| v as usize).collect();
+        let kept = match &self.applied_keep {
+            // A repeat of the applied mask (a retried round) is a no-op.
+            Some(applied) if *applied == requested => data.x_train.cols(),
+            Some(_) => return Self::err_fit("a different selection was already applied"),
+            None => {
+                let keep: Vec<usize> = requested
+                    .iter()
+                    .copied()
+                    .filter(|&j| j < data.x_train.cols())
+                    .collect();
+                if keep.is_empty() {
+                    return Self::err_fit("empty selection");
+                }
+                self.engineered = Some(data.select_columns(&keep));
+                self.applied_keep = Some(requested);
+                keep.len()
+            }
+        };
         FitOutput {
             params: vec![],
-            num_examples: keep.len() as u64,
-            metrics: ConfigMap::new().with_int("kept", keep.len() as i64),
+            num_examples: kept as u64,
+            metrics: ConfigMap::new().with_int("kept", kept as i64),
         }
     }
 
@@ -636,6 +652,28 @@ mod tests {
         // fit_eval still works on the reduced matrix.
         let out = c.fit(&[], &lasso_config());
         assert!(out.metrics.float_or("valid_loss", f64::NAN).is_finite());
+    }
+
+    #[test]
+    fn repeated_selection_is_a_no_op_and_a_different_one_is_refused() {
+        let mut c = engineered_client();
+        let select = |keep: Vec<f64>| {
+            ConfigMap::new()
+                .with_str(OP, "apply_selection")
+                .with_floats("keep", keep)
+        };
+        let first = c.fit(&[], &select(vec![1.0, 3.0, 4.0]));
+        assert_eq!(first.metrics.int_or("kept", 0), 3);
+        let cols = |c: &FedForecasterClient| c.engineered.as_ref().unwrap().x_train.cols();
+        let names = c.engineered.as_ref().unwrap().feature_names.clone();
+        let again = c.fit(&[], &select(vec![1.0, 3.0, 4.0]));
+        assert_eq!(again.metrics.int_or("kept", 0), 3);
+        assert_eq!(again.num_examples, first.num_examples);
+        assert_eq!(cols(&c), 3);
+        assert_eq!(c.engineered.as_ref().unwrap().feature_names, names);
+        let other = c.fit(&[], &select(vec![0.0, 1.0]));
+        assert!(other.metrics.contains_key("error"));
+        assert_eq!(cols(&c), 3);
     }
 
     #[test]

@@ -1,18 +1,15 @@
 //! Phase IV: final fit on train+valid, federated model aggregation, and
 //! test evaluation (§4.4).
 //!
-//! There is exactly one implementation, [`finalize_with_tolerant`], and it
-//! is driven by the winning algorithm's declared
+//! [`finalize`] is driven by the winning algorithm's declared
 //! [`ff_models::spec::FinalizeStrategy`] — not by matching on the
 //! algorithm itself. `CoefficientAverage` winners are
 //! FedAvg-ed into one global linear model; `EnsembleUnion` winners ship
 //! serialized members that are deployed as a weighted union (or fall back
-//! to per-client models, per [`crate::config::TreeAggregation`]). The
-//! strict [`finalize_with`] entry point is the same code run under the
-//! strict round policy.
+//! to per-client models, per [`crate::config::TreeAggregation`]).
 
 use super::rounds::{
-    quorum_unmet, record_screen, strict_policy, tolerant_eval_round, tolerant_round, RobustCtx,
+    eval_round, record_screen, require_usable, stage_round, usable_fit, RobustCtx,
 };
 use crate::aggregate::GlobalModel;
 use crate::ckpt::{CkptSink, Record};
@@ -46,44 +43,12 @@ pub struct FinalizeOutcome {
     pub members: Vec<(Vec<u8>, f64)>,
 }
 
-/// Phase IV with the default
-/// [`crate::config::TreeAggregation::EnsembleUnion`] mode. Returns the
-/// deployed global model and the aggregated test MSE.
-pub fn finalize(rt: &FederatedRuntime, best_config: &Configuration) -> Result<(GlobalModel, f64)> {
-    finalize_with(
-        rt,
-        best_config,
-        crate::config::TreeAggregation::EnsembleUnion,
-    )
-}
-
-/// [`finalize`] with an explicit tree-aggregation mode (§4.4; see
-/// DESIGN.md §5 for the trade-off). Runs under the strict round policy:
-/// every client must deliver a usable final model.
-pub fn finalize_with(
-    rt: &FederatedRuntime,
-    best_config: &Configuration,
-    tree_aggregation: crate::config::TreeAggregation,
-) -> Result<(GlobalModel, f64)> {
-    finalize_with_tolerant(
-        rt,
-        ff_par::ParConfig::auto(),
-        best_config,
-        tree_aggregation,
-        &strict_policy(rt),
-        &mut Vec::new(),
-        &mut RobustCtx::permissive(),
-        None,
-    )
-    .map(|o| (o.global_model, o.test_mse))
-}
-
-/// Fault-tolerant finalization: the final fit, aggregation, and test
-/// rounds all run under the policy. FedAvg (`CoefficientAverage` winners)
-/// and ensemble weights (`EnsembleUnion` winners) renormalize over
-/// whichever clients delivered a final model; the union deployment is
-/// "available" when every *survivor* of the final-fit round contributed a
-/// blob.
+/// Phase IV (§4.4; see DESIGN.md §5 for the tree-aggregation trade-off):
+/// the final fit, aggregation, and test rounds, all under the policy.
+/// FedAvg (`CoefficientAverage` winners) and ensemble weights
+/// (`EnsembleUnion` winners) renormalize over whichever clients delivered
+/// a final model; the union deployment is "available" when every
+/// *survivor* of the final-fit round contributed a blob.
 ///
 /// With a checkpoint sink, `EnsembleUnion` winners durably record their
 /// collected member blobs ([`Record::FinalMembers`]) before deployment —
@@ -91,7 +56,7 @@ pub fn finalize_with(
 /// (resume always re-executes finalization live, since the clients'
 /// final-model state cannot be restored from the server).
 #[allow(clippy::too_many_arguments)]
-pub fn finalize_with_tolerant(
+pub fn finalize(
     rt: &FederatedRuntime,
     par: ff_par::ParConfig,
     best_config: &Configuration,
@@ -101,13 +66,11 @@ pub fn finalize_with_tolerant(
     ctx: &mut RobustCtx,
     ckpt: Option<&mut CkptSink>,
 ) -> Result<FinalizeOutcome> {
-    par.scope(|| {
-        finalize_with_tolerant_inner(rt, best_config, tree_aggregation, policy, rounds, ctx, ckpt)
-    })
+    par.scope(|| finalize_inner(rt, best_config, tree_aggregation, policy, rounds, ctx, ckpt))
 }
 
 #[allow(clippy::too_many_arguments)]
-fn finalize_with_tolerant_inner(
+fn finalize_inner(
     rt: &FederatedRuntime,
     best_config: &Configuration,
     tree_aggregation: crate::config::TreeAggregation,
@@ -122,28 +85,14 @@ fn finalize_with_tolerant_inner(
         params: vec![],
         config: config_to_map(best_config).with_str(OP, "final_fit"),
     };
-    let (outcome, idx) = tolerant_round(rt, "finalization", &ins, policy, rounds)?;
+    let (outcome, idx) = stage_round(rt, "finalization", &ins, policy, rounds)?;
     let mut usable: Vec<(usize, Reply)> = Vec::new();
     for (id, r) in outcome.replies {
-        match &r {
-            Reply::FitRes { metrics, .. } => {
-                if let Some(err) = metrics.get("error").and_then(|v| v.as_str()) {
-                    rounds[idx].app_errors.push((id, err.to_string()));
-                } else {
-                    usable.push((id, r));
-                }
-            }
-            Reply::Error(e) => rounds[idx].app_errors.push((id, e.clone())),
-            other => rounds[idx]
-                .app_errors
-                .push((id, format!("unexpected reply {other:?}"))),
+        if usable_fit(&mut rounds[idx], id, &r).is_some() {
+            usable.push((id, r));
         }
     }
-    rounds[idx].usable = usable.len();
-    let required = policy.min_responses.max(1);
-    if usable.len() < required {
-        return Err(quorum_unmet(rounds, idx, usable.len(), required));
-    }
+    require_usable(rounds, idx, usable.len(), policy)?;
 
     // Pipeline winners always finalize by ensemble union: each member is a
     // self-contained blob-v3 forecaster (non-codec models ship in probed
@@ -165,10 +114,7 @@ fn finalize_with_tolerant_inner(
                 let accepted_ids: Vec<usize> =
                     screened.accepted.iter().map(|(id, _, _)| *id).collect();
                 record_screen(rt, rounds, idx, &accepted_ids, &screened.rejected);
-                rounds[idx].usable = screened.accepted.len();
-                if screened.accepted.len() < required {
-                    return Err(quorum_unmet(rounds, idx, screened.accepted.len(), required));
-                }
+                require_usable(rounds, idx, screened.accepted.len(), policy)?;
                 let survivors: Vec<(Vec<f64>, u64)> = screened
                     .accepted
                     .into_iter()
@@ -208,7 +154,7 @@ fn finalize_with_tolerant_inner(
             let p = global_params.len() - 1;
             let coef = global_params[..p].to_vec();
             let intercept = global_params[p];
-            let test_mse = tolerant_eval_round(
+            let test_mse = eval_round(
                 rt,
                 global_params,
                 ConfigMap::new().with_str(OP, "test_global_linear"),
@@ -314,7 +260,7 @@ fn finalize_union(
             // Leakage-free model selection: compare both deployments on the
             // validation split and pick the better.
             union_available && {
-                let union_valid = tolerant_eval_round(
+                let union_valid = eval_round(
                     rt,
                     vec![],
                     ensemble_config("valid", blobs.clone(), &weights),
@@ -323,13 +269,13 @@ fn finalize_union(
                     ctx,
                 )?;
                 let local_valid =
-                    tolerant_eval_round(rt, vec![], local_config("valid"), policy, rounds, ctx)?;
+                    eval_round(rt, vec![], local_config("valid"), policy, rounds, ctx)?;
                 union_valid <= local_valid
             }
         }
     };
     if use_union {
-        let test_mse = tolerant_eval_round(
+        let test_mse = eval_round(
             rt,
             vec![],
             ensemble_config("test", blobs, &weights),
@@ -343,7 +289,7 @@ fn finalize_union(
             members: exported,
         })
     } else {
-        let test_mse = tolerant_eval_round(rt, vec![], local_config("test"), policy, rounds, ctx)?;
+        let test_mse = eval_round(rt, vec![], local_config("test"), policy, rounds, ctx)?;
         Ok(FinalizeOutcome {
             global_model: GlobalModel::PerClient { algorithm },
             test_mse,

@@ -1,6 +1,6 @@
 //! The FedForecaster engine: Algorithm 1 end-to-end over the federated
 //! runtime, plus the shared pipeline stages reused by the random-search
-//! baseline.
+//! baseline and the adaptive loop.
 //!
 //! The pipeline is decomposed into stage modules:
 //! - [`recommend`] — meta-feature collection, seasonal-period agreement,
@@ -8,30 +8,30 @@
 //! - [`tune`] — per-configuration federated evaluation for the Bayesian
 //!   optimization loop (Phase III);
 //! - [`mod@finalize`] — the strategy-driven final fit / aggregate / test
-//!   stage (Phase IV), shared by the strict and fault-tolerant paths;
+//!   stage (Phase IV);
 //! - `rounds` (private) — the policy-bounded round plumbing the stages
 //!   share, including the per-run robust-aggregation context (`RobustCtx`)
 //!   that threads the update guard and aggregation strategy through every
-//!   tolerant stage.
+//!   stage.
 //!
-//! Each stage comes in two flavors: a strict variant that requires every
-//! client to reply (used by the baselines and well-behaved tests) and a
-//! `*_tolerant` variant bounded by an [`ff_fl::runtime::RoundPolicy`]. The
-//! engine itself always drives the tolerant path.
+//! Each stage has one implementation, bounded by an
+//! [`ff_fl::runtime::RoundPolicy`]. The engine runs it under the
+//! configured policy; the baselines run it under
+//! [`RoundPolicy::strict`](ff_fl::runtime::RoundPolicy::strict), where any
+//! dropout fails the round.
 
 pub mod finalize;
 pub mod recommend;
 mod rounds;
 pub mod tune;
 
-pub use finalize::{finalize, finalize_with, finalize_with_tolerant, FinalizeOutcome};
+pub use finalize::{finalize, FinalizeOutcome};
 pub use recommend::{
-    collect_global_meta, collect_global_meta_tolerant, derive_lag_count,
-    federated_seasonal_periods, federated_seasonal_periods_tolerant, run_feature_engineering,
-    run_feature_engineering_tolerant,
+    collect_global_meta, derive_lag_count, federated_feature_spec, federated_seasonal_periods,
+    run_feature_engineering,
 };
 pub use rounds::RobustCtx;
-pub use tune::{evaluate_config, evaluate_config_tolerant};
+pub use tune::evaluate_config;
 
 use crate::aggregate::GlobalModel;
 use crate::budget::BudgetTracker;
@@ -41,7 +41,6 @@ use crate::ckpt::{
 };
 use crate::client::FedForecasterClient;
 use crate::config::EngineConfig;
-use crate::feature_engineering::GlobalFeatureSpec;
 use crate::report::{RoundReport, RunTelemetry};
 use crate::search_space::{
     pipeline_of, pipeline_space, table2_space, warm_start_configs, warm_start_pipeline_configs,
@@ -54,7 +53,6 @@ use ff_fl::client::FlClient;
 use ff_fl::health::HealthReport;
 use ff_fl::log::Retention;
 use ff_fl::runtime::FederatedRuntime;
-use ff_fl::FlError;
 use ff_metalearn::metamodel::MetaModel;
 use ff_models::zoo::AlgorithmKind;
 use ff_timeseries::TimeSeries;
@@ -104,8 +102,8 @@ pub struct RunResult {
     /// Per-phase communication breakdown (empty for baselines that do not
     /// track phases).
     pub phase_bytes: Vec<PhaseBytes>,
-    /// Per-round fault-tolerance log: participants, responders, dropouts
-    /// (empty for baselines that run strict rounds).
+    /// Per-round fault-tolerance log, one entry per round: participants,
+    /// responders, dropouts.
     pub rounds: Vec<RoundReport>,
     /// Tuning-loop trials abandoned because the round quorum was unmet.
     /// These consume budget but contribute no loss observation.
@@ -287,7 +285,7 @@ impl<'m> FedForecaster<'m> {
         // registry extensions the meta-model was not trained on).
         let phase_span = tracer.span("phase.meta_features");
         let par = self.cfg.par;
-        let (global, max_len) = collect_global_meta_tolerant(rt, par, policy, &mut rounds)?;
+        let (global, max_len) = collect_global_meta(rt, par, policy, &mut rounds)?;
         let recommended: Vec<AlgorithmKind> = if let Some(portfolio) = &self.cfg.portfolio {
             if portfolio.is_empty() {
                 return Err(EngineError::InvalidData("empty portfolio override".into()));
@@ -301,30 +299,13 @@ impl<'m> FedForecaster<'m> {
                 .map_err(EngineError::Model)?
         };
         // Phase III prep: feature engineering with globally agreed params.
-        let spec = if self.cfg.disable_feature_engineering {
-            GlobalFeatureSpec::lags_only(derive_lag_count(&global, self.cfg.max_lags))
-        } else {
-            let periods = federated_seasonal_periods_tolerant(
-                rt,
-                par,
-                max_len,
-                self.cfg.max_seasonal_components,
-                policy,
-                &mut rounds,
-            )?;
-            GlobalFeatureSpec {
-                lags: (1..=derive_lag_count(&global, self.cfg.max_lags)).collect(),
-                seasonal_periods: periods,
-                use_trend: true,
-                use_time: true,
-            }
-        };
+        let spec = federated_feature_spec(rt, &self.cfg, &global, max_len, policy, &mut rounds)?;
         phase_bytes.push(end_phase("meta_features", rt));
         commit_round_frames(&recorder, &rounds, &mut committed_rounds);
         checkpoint_phase(&mut ckpt, &replay, &mut replay_phase_cursor, 0, &rounds)?;
         drop(phase_span);
         let phase_span = tracer.span("phase.feature_engineering");
-        let kept = run_feature_engineering_tolerant(
+        let kept = run_feature_engineering(
             rt,
             par,
             &spec,
@@ -428,25 +409,14 @@ impl<'m> FedForecaster<'m> {
             let config = bo.ask().map_err(EngineError::Optimizer)?;
             let round_mark = rounds.len();
             trial_index += 1;
-            let trial_loss = match evaluate_config_tolerant(
-                rt,
-                par,
-                &config,
-                policy,
-                &mut rounds,
-                &mut robust,
-            ) {
-                Ok(loss) => {
+            let trial_loss = evaluate_config(rt, par, &config, policy, &mut rounds, &mut robust)?;
+            match trial_loss {
+                Some(loss) => {
                     bo.tell(&config, loss).map_err(EngineError::Optimizer)?;
                     loss_history.push(loss);
-                    Some(loss)
                 }
-                Err(EngineError::Federation(FlError::Quorum { .. })) => {
-                    failed_trials += 1;
-                    None
-                }
-                Err(e) => return Err(e),
-            };
+                None => failed_trials += 1,
+            }
             commit_round_frames(&recorder, &rounds, &mut committed_rounds);
             tracker.record_iteration();
             // One atomic commit point per trial: config fingerprint, loss,
@@ -490,7 +460,7 @@ impl<'m> FedForecaster<'m> {
             global_model,
             test_mse,
             members: ensemble_members,
-        } = finalize_with_tolerant(
+        } = finalize(
             rt,
             par,
             &best_config,
@@ -733,26 +703,19 @@ pub fn build_runtime(clients: &[TimeSeries], cfg: &EngineConfig) -> Result<Feder
             short.len()
         )));
     }
-    let boxed: Vec<Box<dyn FlClient>> = clients
-        .iter()
-        .map(|s| {
-            Box::new(FedForecasterClient::new(
-                s,
-                cfg.valid_fraction,
-                cfg.test_fraction,
-            )) as Box<dyn FlClient>
-        })
-        .collect();
-    let rt = FederatedRuntime::new(boxed);
-    // Bounded payload retention; see `build_runtime_from`.
-    rt.log().set_retention(Retention::counting_default());
-    Ok(rt)
+    Ok(build_runtime_from(
+        clients
+            .iter()
+            .map(|s| FedForecasterClient::new(s, cfg.valid_fraction, cfg.test_fraction))
+            .collect(),
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::budget::Budget;
+    use ff_fl::runtime::RoundPolicy;
     use ff_metalearn::kb::KnowledgeBase;
     use ff_metalearn::metamodel::MetaClassifierKind;
     use ff_metalearn::synth::synthetic_kb;
@@ -920,73 +883,12 @@ mod tests {
     }
 
     #[test]
-    fn forced_xgb_finalize_builds_ensemble_union() {
-        use ff_bayesopt::space::{Configuration, ParamValue};
-        let clients = federation();
-        let cfg = EngineConfig::default();
-        let rt = build_runtime(&clients, &cfg).unwrap();
-        let spec = GlobalFeatureSpec::lags_only(4);
-        run_feature_engineering(&rt, &spec, 0.95).unwrap();
-        let mut config = Configuration::new();
-        config.insert("algorithm".into(), ParamValue::Cat("XGBRegressor".into()));
-        let (model, mse) = finalize(&rt, &config).unwrap();
-        assert!(mse.is_finite());
-        match model {
-            GlobalModel::Ensemble { algorithm, members } => {
-                assert_eq!(algorithm, AlgorithmKind::XGB_REGRESSOR);
-                assert_eq!(members, clients.len());
-            }
-            other => panic!("expected ensemble union, got {other:?}"),
-        }
-        // PerClient mode still works on the same runtime.
-        let (model, mse2) =
-            finalize_with(&rt, &config, crate::config::TreeAggregation::PerClient).unwrap();
-        assert!(matches!(model, GlobalModel::PerClient { .. }));
-        assert!(mse2.is_finite());
-    }
-
-    #[test]
-    fn auto_aggregation_avoids_biased_union_on_trending_non_iid_data() {
-        use ff_bayesopt::space::{Configuration, ParamValue};
-        // A strong trend split by time ⇒ clients live at disjoint levels;
-        // the tree union cannot extrapolate and must be rejected by the
-        // validation comparison.
-        let series = generate(
-            &SynthesisSpec {
-                n: 800,
-                trend: TrendSpec::Linear(0.2),
-                snr: Some(50.0),
-                ..Default::default()
-            },
-            77,
-        );
-        let clients = series.split_clients(4);
-        let cfg = EngineConfig::default();
-        let rt = build_runtime(&clients, &cfg).unwrap();
-        run_feature_engineering(&rt, &GlobalFeatureSpec::lags_only(4), 0.95).unwrap();
-        let mut config = Configuration::new();
-        config.insert("algorithm".into(), ParamValue::Cat("XGBRegressor".into()));
-        let (model, auto_mse) =
-            finalize_with(&rt, &config, crate::config::TreeAggregation::Auto).unwrap();
-        assert!(
-            matches!(model, GlobalModel::PerClient { .. }),
-            "auto mode should reject the biased union, got {model:?}"
-        );
-        // And the auto choice should not be worse than the forced union.
-        let (_, union_mse) =
-            finalize_with(&rt, &config, crate::config::TreeAggregation::EnsembleUnion).unwrap();
-        assert!(
-            auto_mse <= union_mse * 1.01,
-            "auto {auto_mse} vs forced union {union_mse}"
-        );
-    }
-
-    #[test]
     fn lag_count_derivation_is_clamped() {
         let clients = federation();
         let cfg = EngineConfig::default();
         let rt = build_runtime(&clients, &cfg).unwrap();
-        let (global, max_len) = collect_global_meta(&rt).unwrap();
+        let policy = RoundPolicy::strict(rt.n_clients());
+        let (global, max_len) = collect_global_meta(&rt, cfg.par, &policy, &mut vec![]).unwrap();
         let lags = derive_lag_count(&global, 10);
         assert!((3..=10).contains(&lags));
         assert!(max_len > 0);

@@ -1,12 +1,12 @@
 //! Policy-bounded round plumbing shared by every pipeline stage.
 //!
-//! The `*_tolerant` stage variants drive the protocol through
-//! [`FederatedRuntime::run_round`]: every collect is bounded by the policy
-//! deadline, clients that time out, panic, or reply garbage become recorded
-//! dropouts, and each stage proceeds with whichever healthy subset remains
-//! (FedAvg and Equation 1 renormalize over survivors automatically). The
-//! strict variants require every client to reply and are kept for the
-//! baselines and for federations known to be well-behaved.
+//! Every stage drives the protocol through [`FederatedRuntime::run_round`]:
+//! each collect is bounded by the policy deadline, clients that time out,
+//! panic, or reply garbage become recorded dropouts, and the stage proceeds
+//! with whichever healthy subset remains (FedAvg and Equation 1
+//! renormalize over survivors automatically) as long as the quorum holds.
+//! The baselines run the same stages under [`RoundPolicy::strict`], which
+//! makes any dropout fail the round.
 
 use crate::config::EngineConfig;
 use crate::report::RoundReport;
@@ -18,11 +18,11 @@ use ff_fl::runtime::{FederatedRuntime, RoundOutcome, RoundPolicy};
 use ff_fl::strategy::aggregate_loss;
 use ff_fl::FlError;
 
-/// Per-run robust-aggregation state threaded through every tolerant stage:
+/// Per-run robust-aggregation state threaded through every stage:
 /// which aggregation rule to apply, the stateful pre-aggregation screen
 /// (its running medians span rounds), and whether the final linear fit
 /// must go through pairwise masking. Under the default FedAvg strategy
-/// `is_robust()` is false and every stage takes its legacy path untouched.
+/// `is_robust()` is false and every stage takes its plain FedAvg path.
 pub struct RobustCtx {
     /// The server-side aggregation rule.
     pub strategy: AggregationStrategy,
@@ -43,8 +43,8 @@ impl RobustCtx {
         }
     }
 
-    /// Plain FedAvg, no screening, no masking — the context the strict
-    /// baselines use so their behavior stays bit-identical.
+    /// Plain FedAvg, no screening, no masking — the context the baselines
+    /// use.
     pub fn permissive() -> RobustCtx {
         RobustCtx {
             strategy: AggregationStrategy::FedAvg,
@@ -79,21 +79,10 @@ pub(crate) fn record_screen(
     }
 }
 
-/// The policy that reproduces strict-round semantics through the tolerant
-/// machinery: block until every client replies, and fail the stage unless
-/// all of them produced a usable reply.
-pub(crate) fn strict_policy(rt: &FederatedRuntime) -> RoundPolicy {
-    RoundPolicy {
-        deadline: None,
-        min_responses: rt.n_clients(),
-        ..RoundPolicy::default()
-    }
-}
-
 /// Runs one policy-bounded round and appends its [`RoundReport`]. Returns
 /// the outcome plus the report's index so the caller can amend the
 /// app-level fields (`usable`, `app_errors`, `non_finite`).
-pub(crate) fn tolerant_round(
+pub(crate) fn stage_round(
     rt: &FederatedRuntime,
     phase: &'static str,
     ins: &Instruction,
@@ -141,12 +130,12 @@ pub(crate) fn tolerant_round(
     }
 }
 
-/// One tolerant Evaluate round aggregated by Equation 1 over the finite
+/// One Evaluate round aggregated by Equation 1 over the finite
 /// survivor losses (or the configured robust loss rule when the context
 /// is robust). Takes ownership of `params` — callers that still need the
 /// vector extract what they keep *before* handing it over rather than
 /// cloning a full model copy per evaluation.
-pub(crate) fn tolerant_eval_round(
+pub(crate) fn eval_round(
     rt: &FederatedRuntime,
     params: Vec<f64>,
     op_config: ConfigMap,
@@ -158,19 +147,33 @@ pub(crate) fn tolerant_eval_round(
         params,
         config: op_config,
     };
-    let (outcome, idx) = tolerant_round(rt, "finalization", &ins, policy, rounds)?;
+    let (outcome, idx) = stage_round(rt, "finalization", &ins, policy, rounds)?;
     let mut candidates: Vec<(usize, f64, u64)> = Vec::new();
     for (id, r) in &outcome.replies {
         match r {
             Reply::EvaluateRes {
                 loss, num_examples, ..
             } => candidates.push((*id, *loss, *num_examples)),
-            Reply::Error(e) => rounds[idx].app_errors.push((*id, e.clone())),
-            other => rounds[idx]
-                .app_errors
-                .push((*id, format!("unexpected reply {other:?}"))),
+            other => record_app_error(&mut rounds[idx], *id, other),
         }
     }
+    aggregate_round_losses(rt, rounds, idx, candidates, policy, ctx)
+}
+
+/// Aggregates a round's `(client, loss, examples)` candidates into the
+/// global loss. A robust context screens every candidate (non-finite ones
+/// included) and feeds the verdicts to the health registry before its
+/// robust rule; plain FedAvg excludes non-finite losses — recorded on the
+/// report, not escalated — and applies Equation 1. Fails the quorum when
+/// fewer than `policy.min_responses` usable losses remain.
+pub(crate) fn aggregate_round_losses(
+    rt: &FederatedRuntime,
+    rounds: &mut [RoundReport],
+    idx: usize,
+    candidates: Vec<(usize, f64, u64)>,
+    policy: &RoundPolicy,
+    ctx: &mut RobustCtx,
+) -> Result<f64> {
     let losses: Vec<(f64, u64)> = if ctx.is_robust() {
         let screened = ctx.guard.screen_losses(candidates);
         let accepted_ids: Vec<usize> = screened.accepted.iter().map(|(id, _, _)| *id).collect();
@@ -191,11 +194,7 @@ pub(crate) fn tolerant_eval_round(
         }
         losses
     };
-    rounds[idx].usable = losses.len();
-    let required = policy.min_responses.max(1);
-    if losses.len() < required {
-        return Err(quorum_unmet(rounds, idx, losses.len(), required));
-    }
+    require_usable(rounds, idx, losses.len(), policy)?;
     if ctx.is_robust() {
         ctx.strategy
             .aggregate_loss(&losses)
@@ -205,13 +204,58 @@ pub(crate) fn tolerant_eval_round(
     }
 }
 
-/// Marks the round at `idx` quorum-unmet and returns the matching error.
-pub(crate) fn quorum_unmet(
+/// Records a reply the stage cannot use as an application error.
+pub(crate) fn record_app_error(report: &mut RoundReport, id: usize, reply: &Reply) {
+    let msg = match reply {
+        Reply::Error(e) => e.clone(),
+        other => format!("unexpected reply {other:?}"),
+    };
+    report.app_errors.push((id, msg));
+}
+
+/// The metrics and example count of a usable `FitRes`. Any other reply,
+/// or a `FitRes` carrying an `error` metric, is recorded on the report as
+/// an application error.
+pub(crate) fn usable_fit<'r>(
+    report: &mut RoundReport,
+    id: usize,
+    reply: &'r Reply,
+) -> Option<(&'r ConfigMap, u64)> {
+    match reply {
+        Reply::FitRes {
+            metrics,
+            num_examples,
+            ..
+        } => match metrics.get("error").and_then(|v| v.as_str()) {
+            Some(err) => {
+                report.app_errors.push((id, err.to_string()));
+                None
+            }
+            None => Some((metrics, *num_examples)),
+        },
+        other => {
+            record_app_error(report, id, other);
+            None
+        }
+    }
+}
+
+/// Records how many replies the stage could use and fails the round's
+/// quorum when that is below `policy.min_responses`.
+pub(crate) fn require_usable(
     rounds: &mut [RoundReport],
     idx: usize,
-    healthy: usize,
-    required: usize,
-) -> EngineError {
-    rounds[idx].quorum_met = false;
-    EngineError::Federation(FlError::Quorum { healthy, required })
+    usable: usize,
+    policy: &RoundPolicy,
+) -> Result<()> {
+    rounds[idx].usable = usable;
+    let required = policy.min_responses.max(1);
+    if usable < required {
+        rounds[idx].quorum_met = false;
+        return Err(EngineError::Federation(FlError::Quorum {
+            healthy: usable,
+            required,
+        }));
+    }
+    Ok(())
 }

@@ -7,7 +7,7 @@ use crate::{EngineError, Result};
 use ff_fl::client::{EvalOutput, FitOutput, FlClient};
 use ff_fl::config::{ConfigMap, ConfigMapExt};
 use ff_fl::message::Instruction;
-use ff_fl::runtime::FederatedRuntime;
+use ff_fl::runtime::{FederatedRuntime, RoundPolicy};
 use ff_fl::secure::{mask_contribution, unmask_average};
 use ff_fl::strategy::{aggregate_loss, fedavg, unwrap_eval_replies, unwrap_fit_replies};
 use ff_models::metrics::mse;
@@ -35,10 +35,21 @@ struct NBeatsClient {
     valid: Vec<f64>,
     test: Vec<f64>,
     local_steps: usize,
+    /// This client's position in the federation and the federation size:
+    /// the layout secure aggregation masks against (models a completed
+    /// key agreement).
+    id: usize,
+    n_clients: usize,
 }
 
 impl NBeatsClient {
-    fn new(series: &TimeSeries, cfg: NBeatsConfig, local_steps: usize) -> NBeatsClient {
+    fn new(
+        series: &TimeSeries,
+        cfg: NBeatsConfig,
+        local_steps: usize,
+        id: usize,
+        n_clients: usize,
+    ) -> NBeatsClient {
         let filled = interpolate::interpolated(series);
         let v = filled.values();
         let n = v.len();
@@ -50,6 +61,8 @@ impl NBeatsClient {
             valid: v[train_end..test_start].to_vec(),
             test: v[test_start..].to_vec(),
             local_steps,
+            id,
+            n_clients,
         }
     }
 
@@ -88,18 +101,14 @@ impl FlClient for NBeatsClient {
         let num_examples = data.len() as u64;
         let raw = self.net.params_flat();
         // Secure aggregation: mask the weighted update so the server only
-        // ever sees the sum (ff_fl::secure). The round seed and federation
-        // layout arrive in the config (models a completed key agreement).
-        let upload = match (
-            config.int_or("secure_round", -1),
-            config.int_or("client_id", -1),
-            config.int_or("n_clients", -1),
-        ) {
-            (round, id, n) if round >= 0 && id >= 0 && n > 0 => mask_contribution(
+        // ever sees the sum (ff_fl::secure). The round seed arrives in the
+        // config.
+        let upload = match config.int_or("secure_round", -1) {
+            round if round >= 0 => mask_contribution(
                 &raw,
                 num_examples as f64,
-                id as usize,
-                n as usize,
+                self.id,
+                self.n_clients,
                 round as u64,
             ),
             _ => raw,
@@ -161,9 +170,19 @@ pub fn run_federated_nbeats_opts(
     let cfg = nbeats_config(paper_config, seed);
     let boxed: Vec<Box<dyn FlClient>> = clients
         .iter()
-        .map(|s| Box::new(NBeatsClient::new(s, cfg.clone(), local_steps)) as Box<dyn FlClient>)
+        .enumerate()
+        .map(|(id, s)| {
+            Box::new(NBeatsClient::new(
+                s,
+                cfg.clone(),
+                local_steps,
+                id,
+                n_clients,
+            )) as Box<dyn FlClient>
+        })
         .collect();
     let rt = FederatedRuntime::new(boxed);
+    let policy = RoundPolicy::strict(n_clients);
 
     let mut tracker = BudgetTracker::start(budget);
     // Server-side initialization: broadcast one canonical weight vector so
@@ -172,58 +191,34 @@ pub fn run_federated_nbeats_opts(
     let mut global = server_net.params_flat();
     let mut rounds = 0usize;
     while !tracker.exhausted() {
+        let mut config = ConfigMap::new().with_int("local_steps", local_steps as i64);
         if secure {
-            // Each client must learn its own id; fall back to per-client
-            // calls so the config can differ.
-            let mut uploads = Vec::with_capacity(n_clients);
-            let mut total_weight = 0.0;
-            for id in 0..n_clients {
-                let reply = rt.call(
-                    id,
-                    &Instruction::Fit {
-                        params: global.clone(),
-                        config: ConfigMap::new()
-                            .with_int("local_steps", local_steps as i64)
-                            .with_int("secure_round", rounds as i64)
-                            .with_int("client_id", id as i64)
-                            .with_int("n_clients", n_clients as i64),
-                    },
-                )?;
-                match reply {
-                    ff_fl::message::Reply::FitRes {
-                        params,
-                        num_examples,
-                        ..
-                    } => {
-                        total_weight += num_examples as f64;
-                        uploads.push(params);
-                    }
-                    other => {
-                        return Err(EngineError::Federation(ff_fl::FlError::Client(format!(
-                            "unexpected reply {other:?}"
-                        ))))
-                    }
-                }
-            }
-            global = unmask_average(&uploads, total_weight).ok_or_else(|| {
-                EngineError::Federation(ff_fl::FlError::Client("unmasking failed".into()))
-            })?;
-        } else {
-            let replies = rt.broadcast_all(&Instruction::Fit {
-                params: global.clone(),
-                config: ConfigMap::new().with_int("local_steps", local_steps as i64),
-            })?;
-            let fit_results = unwrap_fit_replies(replies).map_err(EngineError::Federation)?;
-            global = fedavg(&fit_results).map_err(EngineError::Federation)?;
+            config = config.with_int("secure_round", rounds as i64);
         }
+        let ins = Instruction::Fit {
+            params: global,
+            config,
+        };
+        let replies = rt.run_round(&ins, &policy)?.replies;
+        let fit_results = unwrap_fit_replies(replies).map_err(EngineError::Federation)?;
+        global = if secure {
+            let total_weight = fit_results.iter().map(|(_, n)| *n as f64).sum();
+            let uploads: Vec<Vec<f64>> = fit_results.into_iter().map(|(p, _)| p).collect();
+            unmask_average(&uploads, total_weight).ok_or_else(|| {
+                EngineError::Federation(ff_fl::FlError::Client("unmasking failed".into()))
+            })?
+        } else {
+            fedavg(&fit_results).map_err(EngineError::Federation)?
+        };
         rounds += 1;
         tracker.record_iteration();
     }
-    let eval = rt.broadcast_all(&Instruction::Evaluate {
+    let ins = Instruction::Evaluate {
         params: global,
         config: ConfigMap::new().with_str("split", "test"),
-    })?;
-    let losses = unwrap_eval_replies(eval).map_err(EngineError::Federation)?;
+    };
+    let losses = unwrap_eval_replies(rt.run_round(&ins, &policy)?.replies)
+        .map_err(EngineError::Federation)?;
     let test_mse = aggregate_loss(&losses).map_err(EngineError::Federation)?;
     Ok(NBeatsResult {
         test_mse,

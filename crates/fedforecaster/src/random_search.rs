@@ -1,7 +1,7 @@
 //! The random-search baseline (§5.1).
 //!
-//! Identical pipeline to the engine — same federation, same feature
-//! engineering, same budget accounting — but configurations are sampled
+//! Identical pipeline to the engine — the engine's own stages over the
+//! same federation, same budget accounting — but configurations are sampled
 //! uniformly from the **full** Table 2 space: no meta-model warm start and
 //! no surrogate guidance. This isolates exactly the contribution of the
 //! meta-learning + Bayesian-optimization layers.
@@ -9,12 +9,12 @@
 use crate::budget::BudgetTracker;
 use crate::config::EngineConfig;
 use crate::engine::{
-    build_runtime, collect_global_meta, derive_lag_count, evaluate_config,
-    federated_seasonal_periods, finalize_with, run_feature_engineering, RunResult,
+    build_runtime, collect_global_meta, evaluate_config, federated_feature_spec, finalize,
+    run_feature_engineering, FinalizeOutcome, RobustCtx, RunResult,
 };
-use crate::feature_engineering::GlobalFeatureSpec;
 use crate::search_space::{pipeline_of, pipeline_space, table2_space};
 use crate::{EngineError, Result};
+use ff_fl::runtime::RoundPolicy;
 use ff_models::zoo::AlgorithmKind;
 use ff_timeseries::TimeSeries;
 use rand::rngs::StdRng;
@@ -32,26 +32,20 @@ impl RandomSearch {
         RandomSearch { cfg }
     }
 
-    /// Runs the baseline on a federation.
+    /// Runs the baseline on a federation. Every stage is the engine's own,
+    /// run under [`RoundPolicy::strict`]: any dropout fails the run, except
+    /// in a trial, where it fails only that trial.
     pub fn run(&self, clients: &[TimeSeries]) -> Result<RunResult> {
         let rt = build_runtime(clients, &self.cfg)?;
+        let policy = RoundPolicy::strict(rt.n_clients());
+        let par = self.cfg.par;
+        let mut rounds = Vec::new();
+        let mut ctx = RobustCtx::permissive();
 
-        let (global, max_len) = collect_global_meta(&rt)?;
-        let spec = if self.cfg.disable_feature_engineering {
-            GlobalFeatureSpec::lags_only(derive_lag_count(&global, self.cfg.max_lags))
-        } else {
-            GlobalFeatureSpec {
-                lags: (1..=derive_lag_count(&global, self.cfg.max_lags)).collect(),
-                seasonal_periods: federated_seasonal_periods(
-                    &rt,
-                    max_len,
-                    self.cfg.max_seasonal_components,
-                )?,
-                use_trend: true,
-                use_time: true,
-            }
-        };
-        run_feature_engineering(&rt, &spec, self.cfg.importance_threshold)?;
+        let (global, max_len) = collect_global_meta(&rt, par, &policy, &mut rounds)?;
+        let spec = federated_feature_spec(&rt, &self.cfg, &global, max_len, &policy, &mut rounds)?;
+        let threshold = self.cfg.importance_threshold;
+        run_feature_engineering(&rt, par, &spec, threshold, &policy, &mut rounds)?;
 
         // Honors the same pipeline switch as the engine so ablations
         // compare like with like (guided vs random over the same space).
@@ -62,22 +56,41 @@ impl RandomSearch {
         let mut rng = StdRng::seed_from_u64(self.cfg.seed);
         let mut best: Option<(ff_bayesopt::space::Configuration, f64)> = None;
         let mut loss_history = Vec::new();
+        let mut failed_trials = 0usize;
         // The budget covers the tuning loop, matching the engine exactly;
-        // at least one configuration is always evaluated.
+        // at least one configuration is always evaluated. A trial whose
+        // quorum fails consumes budget but contributes no loss.
         let mut tracker = BudgetTracker::start(self.cfg.budget);
         while tracker.iterations() == 0 || !tracker.exhausted() {
             let config = space.sample(&mut rng);
-            let loss = evaluate_config(&rt, &config)?;
-            loss_history.push(loss);
-            match &best {
-                Some((_, b)) if loss >= *b => {}
-                _ => best = Some((config, loss)),
+            match evaluate_config(&rt, par, &config, &policy, &mut rounds, &mut ctx)? {
+                Some(loss) => {
+                    loss_history.push(loss);
+                    match &best {
+                        Some((_, b)) if loss >= *b => {}
+                        _ => best = Some((config, loss)),
+                    }
+                }
+                None => failed_trials += 1,
             }
             tracker.record_iteration();
         }
         let (best_config, best_valid_loss) =
             best.ok_or_else(|| EngineError::InvalidData("no configuration evaluated".into()))?;
-        let (global_model, test_mse) = finalize_with(&rt, &best_config, self.cfg.tree_aggregation)?;
+        let FinalizeOutcome {
+            global_model,
+            test_mse,
+            ..
+        } = finalize(
+            &rt,
+            par,
+            &best_config,
+            self.cfg.tree_aggregation,
+            &policy,
+            &mut rounds,
+            &mut ctx,
+            None,
+        )?;
         let (bytes_to_clients, bytes_to_server) = rt.log().byte_totals();
         Ok(RunResult {
             best_algorithm: global_model.algorithm(),
@@ -93,8 +106,8 @@ impl RandomSearch {
             bytes_to_clients,
             bytes_to_server,
             phase_bytes: vec![],
-            rounds: vec![],
-            failed_trials: 0,
+            rounds,
+            failed_trials,
             health: rt.health_report(),
             telemetry: None,
             ensemble_members: vec![],

@@ -1,6 +1,7 @@
 //! The client-side trait, mirroring Flower's `Client` API.
 
 use crate::config::ConfigMap;
+use crate::message::{Instruction, Reply};
 
 /// Output of a local training step.
 #[derive(Debug, Clone)]
@@ -46,5 +47,31 @@ pub trait FlClient: Send {
     /// well-behaved clients never override this.
     fn wire_transform(&mut self, encoded_reply: Vec<u8>) -> Option<Vec<u8>> {
         Some(encoded_reply)
+    }
+}
+
+/// Runs one decoded instruction against a client — the single dispatch
+/// both runtimes share. `Shutdown` is acknowledged without touching the
+/// client.
+pub(crate) fn dispatch(client: &mut dyn FlClient, ins: Instruction) -> Reply {
+    match ins {
+        Instruction::GetProperties(cfg) => Reply::Properties(client.get_properties(&cfg)),
+        Instruction::Fit { params, config } => {
+            let out = client.fit(&params, &config);
+            Reply::FitRes {
+                params: out.params,
+                num_examples: out.num_examples,
+                metrics: out.metrics,
+            }
+        }
+        Instruction::Evaluate { params, config } => {
+            let out = client.evaluate(&params, &config);
+            Reply::EvaluateRes {
+                loss: out.loss,
+                num_examples: out.num_examples,
+                metrics: out.metrics,
+            }
+        }
+        Instruction::Shutdown => Reply::ShutdownAck,
     }
 }

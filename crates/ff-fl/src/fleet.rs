@@ -41,7 +41,7 @@
 //! deterministic
 //! [`FlError::Timeout`] dropouts without waiting on any clock.
 
-use crate::client::FlClient;
+use crate::client::{dispatch, FlClient};
 use crate::config::ConfigMap;
 use crate::health::{ClientState, HealthPolicy, HealthRegistry, HealthReport};
 use crate::message::{Instruction, Reply};
@@ -425,27 +425,7 @@ impl FleetRuntime {
     fn drive_one(&self, id: usize, encoded: &Bytes) -> Result<Reply> {
         let ins = Instruction::decode(encoded.clone())?;
         let mut slot = self.slots[id].lock();
-        let client: &mut dyn FlClient = &mut **slot;
-        let reply = match catch_unwind(AssertUnwindSafe(|| match ins {
-            Instruction::GetProperties(cfg) => Reply::Properties(client.get_properties(&cfg)),
-            Instruction::Fit { params, config } => {
-                let out = client.fit(&params, &config);
-                Reply::FitRes {
-                    params: out.params,
-                    num_examples: out.num_examples,
-                    metrics: out.metrics,
-                }
-            }
-            Instruction::Evaluate { params, config } => {
-                let out = client.evaluate(&params, &config);
-                Reply::EvaluateRes {
-                    loss: out.loss,
-                    num_examples: out.num_examples,
-                    metrics: out.metrics,
-                }
-            }
-            Instruction::Shutdown => Reply::ShutdownAck,
-        })) {
+        let reply = match catch_unwind(AssertUnwindSafe(|| dispatch(&mut **slot, ins))) {
             Ok(reply) => reply,
             Err(_) => return Err(FlError::ClientPanicked(id)),
         };

@@ -11,8 +11,10 @@
 //!   serialization boundary, exactly like a networked deployment, so the
 //!   privacy surface (what leaves a client) is explicit and auditable.
 //! - [`runtime::FederatedRuntime`]: the in-process simulation engine; each
-//!   client runs on its own thread and the server broadcasts instructions
-//!   and collects replies in parallel.
+//!   client runs on its own thread, and every instruction reaches the
+//!   clients through one round primitive,
+//!   [`runtime::FederatedRuntime::run_round`], which broadcasts it and
+//!   collects the replies in parallel.
 //! - [`strategy`]: FedAvg weighted parameter averaging and weighted loss
 //!   aggregation (`α_j = |D_j| / |D|`, Equation 1 of the paper).
 //! - [`log::MessageLog`]: a transcript of every transmitted payload with
@@ -29,7 +31,9 @@
 //!   response quorum; [`runtime::FederatedRuntime::run_round`] completes a
 //!   round with whichever healthy subset replied in time and reports the
 //!   rest as structured dropouts ([`FlError::Timeout`],
-//!   [`FlError::ClientPanicked`], [`FlError::Codec`]).
+//!   [`FlError::ClientPanicked`], [`FlError::Codec`]). Strict rounds are
+//!   the same primitive under [`runtime::RoundPolicy::strict`]: no
+//!   deadline, and every client must reply.
 //! - Client threads wrap handler dispatch in `catch_unwind`, so a panicked
 //!   client answers with [`message::Reply::Panicked`] instead of poisoning
 //!   its channel and killing the federation.

@@ -226,3 +226,108 @@ fn non_finite_loss_is_excluded_not_fatal() {
     // succeeded, so health is unaffected.
     assert_eq!(rt.client_state(1), Some(ClientState::Healthy));
 }
+
+/// Shared record of what one wrapped client saw and shipped.
+#[derive(Default)]
+struct SelectionLog {
+    /// The keep mask of every `apply_selection` instruction received.
+    masks: Vec<Vec<usize>>,
+    /// Parameter count of every `final_fit` reply.
+    final_params: Vec<usize>,
+}
+
+/// Wraps a well-behaved client; optionally drops its first
+/// `apply_selection` reply on the wire, after the client has executed it —
+/// the case a retried round re-sends an instruction the client already ran.
+struct DropFirstSelectionReply {
+    inner: FedForecasterClient,
+    log: std::sync::Arc<std::sync::Mutex<SelectionLog>>,
+    drop_next: bool,
+    armed: bool,
+}
+
+impl FlClient for DropFirstSelectionReply {
+    fn get_properties(&mut self, config: &ConfigMap) -> ConfigMap {
+        self.inner.get_properties(config)
+    }
+    fn fit(&mut self, params: &[f64], config: &ConfigMap) -> FitOutput {
+        let out = self.inner.fit(params, config);
+        let mut log = self.log.lock().unwrap();
+        match config.str_or(OP, "") {
+            "apply_selection" => {
+                let keep = config.get("keep").and_then(|v| v.as_float_vec()).unwrap();
+                log.masks.push(keep.iter().map(|&j| j as usize).collect());
+                self.drop_next = std::mem::take(&mut self.armed);
+            }
+            "final_fit" => log.final_params.push(out.params.len()),
+            _ => {}
+        }
+        out
+    }
+    fn evaluate(&mut self, params: &[f64], config: &ConfigMap) -> EvalOutput {
+        self.inner.evaluate(params, config)
+    }
+    fn wire_transform(&mut self, encoded_reply: Vec<u8>) -> Option<Vec<u8>> {
+        if std::mem::take(&mut self.drop_next) {
+            None
+        } else {
+            Some(encoded_reply)
+        }
+    }
+}
+
+/// A retried `apply_selection` must not select twice: the client whose
+/// first reply was lost re-receives the same mask and has to treat it as
+/// a no-op, so every client ends with exactly `keep.len()` columns and the
+/// linear final fit ships `keep.len() + 1` coefficients everywhere.
+#[test]
+fn retried_selection_is_idempotent() {
+    let series = federation(3);
+    let logs: Vec<_> = (0..3)
+        .map(|_| std::sync::Arc::new(std::sync::Mutex::new(SelectionLog::default())))
+        .collect();
+    let clients: Vec<Box<dyn FlClient>> = series
+        .iter()
+        .zip(&logs)
+        .enumerate()
+        .map(|(id, (s, log))| {
+            Box::new(DropFirstSelectionReply {
+                inner: FedForecasterClient::new(s, 0.15, 0.15),
+                log: log.clone(),
+                drop_next: false,
+                armed: id == 1,
+            }) as Box<dyn FlClient>
+        })
+        .collect();
+    let rt = FederatedRuntime::new(clients);
+    let cfg = EngineConfig {
+        budget: Budget::Iterations(2),
+        portfolio: Some(vec![AlgorithmKind::LASSO]),
+        round_policy: RoundPolicy {
+            deadline: Some(Duration::from_millis(1000)),
+            min_responses: 3,
+            retries: 1,
+            backoff: Duration::ZERO,
+        },
+        ..Default::default()
+    };
+    let meta = tiny_metamodel();
+    let result = FedForecaster::new(cfg, &meta).run_on(&rt).unwrap();
+    assert_eq!(result.best_algorithm, AlgorithmKind::LASSO);
+
+    let keep = logs[0].lock().unwrap().masks[0].clone();
+    // Applying this mask a second time would select a different,
+    // non-empty schema, so a double application cannot go unnoticed.
+    let twice: Vec<usize> = keep.iter().copied().filter(|&j| j < keep.len()).collect();
+    assert!(
+        !twice.is_empty() && twice != (0..keep.len()).collect::<Vec<_>>(),
+        "mask {keep:?} would not show a double application"
+    );
+    // Client 1 received the mask twice (the retry); the others once.
+    for (id, log) in logs.iter().enumerate() {
+        let log = log.lock().unwrap();
+        assert_eq!(log.masks.len(), if id == 1 { 2 } else { 1 }, "client {id}");
+        assert!(log.masks.iter().all(|m| *m == keep), "client {id}");
+        assert_eq!(log.final_params, vec![keep.len() + 1], "client {id}");
+    }
+}
